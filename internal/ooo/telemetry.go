@@ -138,31 +138,39 @@ func (iv *intervalTracker) open(s *Sim) {
 // tolerates kernel-time jumps (advanceKernel) by closing the window at
 // whatever length the jump produced.
 func (iv *intervalTracker) tick(s *Sim) {
-	iv.robSum += uint64(s.robLen)
+	iv.account(s, 1)
+	if s.cycle >= iv.nextAt {
+		iv.flush(s)
+		iv.open(s)
+		iv.nextAt = s.cycle + iv.window
+	}
+}
+
+// account charges n cycles spent in the machine state the current cycle
+// left behind: n times its ROB occupancy, n cycles to its stall class.
+// The run loop charges a span of skipped dead cycles in one call, which
+// is exact because nothing the classification reads changes across it.
+func (iv *intervalTracker) account(s *Sim, n uint64) {
+	iv.robSum += uint64(s.robLen) * n
 	switch {
 	case s.committedThis:
-		iv.stalls.Commit++
+		iv.stalls.Commit += n
 	case s.robLen == 0:
-		iv.stalls.Frontend++
+		iv.stalls.Frontend += n
 	default:
 		head := s.robAt(0)
 		switch {
 		case head.state == stDone:
 			// Finished but unretirable: store-buffer pressure (figure 8)
 			// or the result lands later this cycle.
-			iv.stalls.StoreBuffer++
+			iv.stalls.StoreBuffer += n
 		case head.kind == isa.KindLoad || head.kind == isa.KindStore:
-			iv.stalls.Memory++
+			iv.stalls.Memory += n
 		case head.state == stIssued:
-			iv.stalls.Execute++
+			iv.stalls.Execute += n
 		default:
-			iv.stalls.Other++
+			iv.stalls.Other += n
 		}
-	}
-	if s.cycle >= iv.nextAt {
-		iv.flush(s)
-		iv.open(s)
-		iv.nextAt = s.cycle + iv.window
 	}
 }
 
