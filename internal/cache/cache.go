@@ -18,10 +18,12 @@ type Level struct {
 	lineBits uint
 	latency  uint64
 
-	tags [][]uint64
-	// lru[s][w] is the last-touch stamp for way w of set s.
-	lru   [][]uint64
-	valid [][]bool
+	// tags[s*ways+w] holds line+1 for way w of set s; 0 marks an empty
+	// way. Two flat slices per level keep construction at two
+	// allocations however many sets the level has.
+	tags []uint64
+	// lru[s*ways+w] is the last-touch stamp for way w of set s.
+	lru   []uint64
 	stamp uint64
 
 	// Stats.
@@ -46,18 +48,19 @@ func NewLevel(name string, size, ways, lineSize int, latency uint64) *Level {
 			panic("bad line size")
 		}
 	}
-	l := &Level{
+	return &Level{
 		name: name, sets: sets, ways: ways, lineBits: lineBits, latency: latency,
-		tags:  make([][]uint64, sets),
-		lru:   make([][]uint64, sets),
-		valid: make([][]bool, sets),
+		tags: make([]uint64, sets*ways),
+		lru:  make([]uint64, sets*ways),
 	}
-	for i := 0; i < sets; i++ {
-		l.tags[i] = make([]uint64, ways)
-		l.lru[i] = make([]uint64, ways)
-		l.valid[i] = make([]bool, ways)
-	}
-	return l
+}
+
+// set returns the tag and LRU ways of addr's set, and the tag addr's
+// line is stored under.
+func (l *Level) set(addr uint64) (tags, lru []uint64, tag uint64) {
+	line := addr >> l.lineBits
+	base := int(line&uint64(l.sets-1)) * l.ways
+	return l.tags[base : base+l.ways], l.lru[base : base+l.ways], line + 1
 }
 
 // Name returns the level's label ("L1", …).
@@ -68,12 +71,11 @@ func (l *Level) Latency() uint64 { return l.latency }
 
 // lookup probes for addr and updates LRU on hit.
 func (l *Level) lookup(addr uint64) bool {
-	line := addr >> l.lineBits
-	set := line & uint64(l.sets-1)
+	tags, lru, tag := l.set(addr)
 	l.stamp++
-	for w := 0; w < l.ways; w++ {
-		if l.valid[set][w] && l.tags[set][w] == line {
-			l.lru[set][w] = l.stamp
+	for w, t := range tags {
+		if t == tag {
+			lru[w] = l.stamp
 			return true
 		}
 	}
@@ -82,22 +84,20 @@ func (l *Level) lookup(addr uint64) bool {
 
 // fill installs addr's line, evicting LRU.
 func (l *Level) fill(addr uint64) {
-	line := addr >> l.lineBits
-	set := line & uint64(l.sets-1)
+	tags, lru, tag := l.set(addr)
 	victim := 0
-	for w := 0; w < l.ways; w++ {
-		if !l.valid[set][w] {
+	for w, t := range tags {
+		if t == 0 {
 			victim = w
 			break
 		}
-		if l.lru[set][w] < l.lru[set][victim] {
+		if lru[w] < lru[victim] {
 			victim = w
 		}
 	}
 	l.stamp++
-	l.tags[set][victim] = line
-	l.valid[set][victim] = true
-	l.lru[set][victim] = l.stamp
+	tags[victim] = tag
+	lru[victim] = l.stamp
 }
 
 // Hierarchy is an inclusive multi-level cache hierarchy backed by a
