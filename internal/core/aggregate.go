@@ -108,8 +108,8 @@ func (p *Profile) functionLoops(ctx context.Context, fn program.Function, thresh
 func (p *Profile) buildLoops(ctx context.Context, sp *sampler.Profile, ep *dbi.Profile, threshold uint64) int {
 	// offset -> cycles from the (attributed) instruction records.
 	cyclesAt := func(off uint64) uint64 {
-		if i, ok := p.instIndex[off]; ok {
-			return p.Insts[i].Cycles
+		if r, ok := p.InstAt(off); ok {
+			return r.Cycles
 		}
 		return 0
 	}

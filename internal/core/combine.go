@@ -123,7 +123,6 @@ func CombineContext(ctx context.Context, prog *program.Program, sp *sampler.Prof
 		Attribution:    resolveAttribution(opts.Attribution, sp.Precise).String(),
 		LoopThreshold:  t,
 		StackProfiling: ep.StackProfiling,
-		instIndex:      make(map[uint64]int),
 		funcIndex:      make(map[string]int),
 	}
 
@@ -177,6 +176,7 @@ func CombineContext(ctx context.Context, prog *program.Program, sp *sampler.Prof
 		offsets = append(offsets, off)
 	}
 	sort.Slice(offsets, func(i, j int) bool { return offsets[i] < offsets[j] })
+	p.Insts = make([]InstRecord, 0, len(offsets))
 	for _, off := range offsets {
 		inst, ok := prog.InstAt(off)
 		if !ok {
@@ -211,7 +211,6 @@ func CombineContext(ctx context.Context, prog *program.Program, sp *sampler.Prof
 		if r.ExecCount > 0 {
 			r.CPI = float64(r.Cycles) / float64(r.ExecCount)
 		}
-		p.instIndex[off] = len(p.Insts)
 		p.Insts = append(p.Insts, r)
 		p.TotalCycles += r.Cycles
 		p.TotalSamples += r.Samples
@@ -266,11 +265,9 @@ func (p *Profile) buildBlocks() {
 		if fn, ok := p.Prog.FuncAt(b.Start); ok {
 			r.Func = fn.Name
 		}
-		for off := b.Start; off < b.End; off += isa.InstBytes {
-			if i, ok := p.instIndex[off]; ok {
-				r.Samples += p.Insts[i].Samples
-				r.Cycles += p.Insts[i].Cycles
-			}
+		for i := p.instIdx(b.Start); i < len(p.Insts) && p.Insts[i].Offset < b.End; i++ {
+			r.Samples += p.Insts[i].Samples
+			r.Cycles += p.Insts[i].Cycles
 		}
 		if dyn := r.ExecCount * uint64(r.Insts); dyn > 0 {
 			r.CPI = float64(r.Cycles) / float64(dyn)

@@ -107,10 +107,11 @@ func ReadExport(r io.Reader) (*Export, error) {
 // CFG. The cluster layer uses it to reconstitute a result fetched from
 // a sibling node's cache: the fetching node already holds the program —
 // the content address is derived from it — so only the analysis tables
-// and the flattened CFG travel over the wire. The lookup indexes the
-// combiner builds (InstAt, FuncByName) are reindexed from the tables,
-// making the reconstruction behaviorally identical to the original for
-// every renderer and API consumer.
+// and the flattened CFG travel over the wire. FuncByName's index is
+// rebuilt from the tables and InstAt searches the instruction table,
+// which keeps the offset order Combine wrote, so the reconstruction
+// behaves identically to the original for every renderer and API
+// consumer.
 func FromExport(e *Export, prog *program.Program, g *cfg.Graph) *Profile {
 	p := &Profile{
 		Module:           e.Module,
@@ -141,11 +142,7 @@ func FromExport(e *Export, prog *program.Program, g *cfg.Graph) *Profile {
 		Funcs:            e.Funcs,
 		Loops:            e.Loops,
 		Lines:            e.Lines,
-		instIndex:        make(map[uint64]int, len(e.Insts)),
 		funcIndex:        make(map[string]int, len(e.Funcs)),
-	}
-	for i := range p.Insts {
-		p.instIndex[p.Insts[i].Offset] = i
 	}
 	for i := range p.Funcs {
 		p.funcIndex[p.Funcs[i].Name] = i

@@ -11,6 +11,8 @@
 package core
 
 import (
+	"sort"
+
 	"optiwise/internal/cfg"
 	"optiwise/internal/dbi"
 	"optiwise/internal/isa"
@@ -233,13 +235,18 @@ type Profile struct {
 	Loops  []LoopRecord  // sorted by TotalCycles descending
 	Lines  []LineRecord  // sorted by Cycles descending
 
-	instIndex map[uint64]int
 	funcIndex map[string]int
+}
+
+// instIdx returns the position of the first record at or after off in
+// the offset-sorted Insts.
+func (p *Profile) instIdx(off uint64) int {
+	return sort.Search(len(p.Insts), func(i int) bool { return p.Insts[i].Offset >= off })
 }
 
 // InstAt returns the record for the instruction at off.
 func (p *Profile) InstAt(off uint64) (InstRecord, bool) {
-	if i, ok := p.instIndex[off]; ok {
+	if i := p.instIdx(off); i < len(p.Insts) && p.Insts[i].Offset == off {
 		return p.Insts[i], true
 	}
 	return InstRecord{}, false
