@@ -291,6 +291,7 @@ const (
 	MSimInstructions  = "optiwise_sim_instructions_total"
 	MSimMispredicts   = "optiwise_sim_mispredicts_total"
 	MSimBranches      = "optiwise_sim_branches_total"
+	MSimSkipped       = "optiwise_sim_skipped_cycles_total"
 	MSamplesTaken     = "optiwise_sampler_samples_total"
 	MSamplesDropped   = "optiwise_sampler_samples_dropped_total"
 	MSampleWeight     = "optiwise_sampler_sample_weight_cycles"
@@ -412,6 +413,8 @@ func helpFor(name string) string {
 		return "Branch mispredicts observed by the simulated machine."
 	case MSimBranches:
 		return "Branches committed by the simulated machine."
+	case MSimSkipped:
+		return "Dead simulated cycles the pipeline simulator jumped over instead of stepping."
 	case MSamplesTaken:
 		return "Samples recorded by the perf-like sampler."
 	case MSamplesDropped:

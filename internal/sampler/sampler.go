@@ -209,9 +209,10 @@ func RunContext(ctx context.Context, cfg ooo.Config, prog *program.Program, opts
 	return profile, stats, nil
 }
 
-// recordRunMetrics feeds the aggregate run counters — simulated cycles,
-// instructions, branch outcomes, and per-level cache hits/misses — into
-// the metrics registry. Aggregates are added in bulk after the run so
+// recordRunMetrics feeds the aggregate run counters — simulated cycles
+// (and how many of them the simulator skipped as dead), instructions,
+// branch outcomes, and per-level cache hits/misses — into the metrics
+// registry. Aggregates are added in bulk after the run so
 // the simulator's inner loop carries no instrumentation at all.
 func recordRunMetrics(sim *ooo.Sim, stats ooo.Stats) {
 	if obs.ActiveRegistry() == nil {
@@ -221,6 +222,7 @@ func recordRunMetrics(sim *ooo.Sim, stats ooo.Stats) {
 	obs.Counter(obs.MSimInstructions).Add(stats.Instructions)
 	obs.Counter(obs.MSimMispredicts).Add(stats.Mispredicts)
 	obs.Counter(obs.MSimBranches).Add(stats.Branches)
+	obs.Counter(obs.MSimSkipped).Add(sim.SkippedCycles())
 	for _, l := range sim.Cache().Levels() {
 		obs.Counter(obs.CacheHits(l.Name())).Add(l.Hits)
 		obs.Counter(obs.CacheMisses(l.Name())).Add(l.Misses)

@@ -109,6 +109,10 @@ func TestProfileFeedsMetrics(t *testing.T) {
 	if reg.Counter(obs.MSimCycles).Value() == 0 {
 		t.Error("simulated-cycles counter not fed")
 	}
+	if skipped := reg.Counter(obs.MSimSkipped).Value(); skipped == 0 ||
+		skipped >= reg.Counter(obs.MSimCycles).Value() {
+		t.Errorf("skipped-cycles counter %d not fed, or not below simulated cycles", skipped)
+	}
 	if reg.Counter(obs.MDBIBlocksFound).Value() == 0 {
 		t.Error("dbi blocks-discovered counter not fed")
 	}
@@ -129,6 +133,7 @@ func TestProfileFeedsMetrics(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"# TYPE optiwise_sim_cycles_total counter",
+		"# TYPE optiwise_sim_skipped_cycles_total counter",
 		"# TYPE optiwise_dbi_blocks_discovered_total counter",
 		"# TYPE optiwise_cache_l1_hits_total counter",
 		"# TYPE optiwise_sampler_sample_weight_cycles histogram",
