@@ -11,7 +11,6 @@ import (
 
 	"optiwise/internal/fault"
 	"optiwise/internal/obs"
-	"optiwise/internal/serve"
 )
 
 // Cluster protocol headers.
@@ -87,7 +86,7 @@ func (n *Node) submitHandler(base http.Handler) http.Handler {
 			r2.ContentLength = int64(len(body))
 			base.ServeHTTP(w, r2)
 		}
-		prog, opts, err := serve.DecodeSubmission(body)
+		prog, opts, err := n.srv.DecodeSubmission(body)
 		if err != nil {
 			// Malformed submissions are answered locally so the error
 			// rendering (shape, status) stays identical to a single node.
